@@ -14,13 +14,7 @@ Measures two things per sweep point:
   call per backend) and run the successive-shortest-path loop to
   completion.  This isolates the Dijkstra inner loop, dict vs array.
 
-When the optional ``numba`` dependency imports, a third *compiled stack*
-(``numba`` flow kernel on the ``packed`` R-tree) joins both measurements
-— JIT compile cost is excluded by warming the kernels before any timed
-region.  Without numba the ``numba`` block in the JSON records the skip
-and its reason instead, so the artifact stays diffable either way.
-
-All stacks must produce bit-identical matching costs and |Esub|; the
+Both stacks must produce bit-identical matching costs and |Esub|; the
 script asserts it and records the speedups in ``BENCH_kernel.json``.
 
 End-to-end timings take the best of ``--repeats`` runs per stack
@@ -53,7 +47,6 @@ from repro.core.ida import IDASolver
 from repro.datagen.workloads import make_problem
 from repro.experiments.config import PAPER_DEFAULTS, scaled
 from repro.flow.backend import get_backend
-from repro.flow.numbakernel import NUMBA_AVAILABLE, warm_kernels
 
 NQ_SWEEP_PAPER = (250, 500, 1000, 2500, 5000)
 # End-to-end stacks: (label, flow backend, index backend).
@@ -61,9 +54,6 @@ STACKS = (
     ("reference", "dict", "pointer"),
     ("columnar", "array", "packed"),
 )
-# The optional JIT stack, included whenever numba imports (reported as
-# skipped-with-reason otherwise so the artifact stays diffable).
-NUMBA_STACK = ("compiled", "numba", "packed")
 # Kernel replay isolates the flow seam only.
 KERNEL_BACKENDS = ("dict", "array")
 
@@ -151,16 +141,6 @@ def bench_point(nq_paper, scale, seed, repeats, stacks, kernel_backends):
     row["end_to_end_speedup"] = (
         row["end_to_end_s"]["reference"] / row["end_to_end_s"]["columnar"]
     )
-    if "compiled" in row["end_to_end_s"]:
-        row["numba_end_to_end_speedup"] = (
-            row["end_to_end_s"]["reference"] / row["end_to_end_s"]["compiled"]
-        )
-        row["numba_vs_array"] = (
-            row["end_to_end_s"]["columnar"] / row["end_to_end_s"]["compiled"]
-        )
-        row["numba_kernel_speedup"] = (
-            row["kernel_s"]["dict"] / row["kernel_s"]["numba"]
-        )
     return row
 
 
@@ -200,51 +180,7 @@ def main(argv=None):
         "falls below this bound — the CI regression "
         "gate for the fused columnar pipeline",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("dict", "array", "numba"),
-        default=None,
-        help="request one extra backend explicitly; "
-        "'numba' is attempted and recorded as "
-        "skipped (with the reason) when the optional "
-        "dependency is absent — dict/array are "
-        "always measured",
-    )
-    parser.add_argument(
-        "--min-numba-vs-array-geomean",
-        type=float,
-        default=None,
-        help="fail (exit 1) when the numba/array "
-        "end-to-end geomean falls below this bound "
-        "(only evaluated when numba is available) — "
-        "the perf-leg regression gate",
-    )
     args = parser.parse_args(argv)
-
-    stacks = list(STACKS)
-    kernel_backends = list(KERNEL_BACKENDS)
-    if NUMBA_AVAILABLE:
-        # One-time JIT compilation outside every timed region: warm the
-        # kernels on a toy instance first (cache=True makes later
-        # processes skip this too).
-        warm_started = time.perf_counter()
-        warm_kernels()
-        numba_block = {
-            "status": "ok",
-            "jit_warmup_s": time.perf_counter() - warm_started,
-            "note": "compile cost excluded via warm-up + best-of-repeats",
-        }
-        stacks.append(NUMBA_STACK)
-        kernel_backends.append("numba")
-    else:
-        numba_block = {
-            "status": "skipped",
-            "reason": "numba not importable; install the 'perf' extra "
-            "(pip install repro-cca[perf]) to measure the "
-            "compiled stack",
-        }
-        if args.backend == "numba":
-            print(f"[bench_kernel] numba skipped: {numba_block['reason']}")
 
     sweep = NQ_SWEEP_PAPER[: max(1, args.points)]
     dropped = [
@@ -269,8 +205,8 @@ def main(argv=None):
             args.scale,
             args.seed,
             args.repeats,
-            stacks,
-            kernel_backends,
+            STACKS,
+            KERNEL_BACKENDS,
         )
         points.append(row)
         print(
@@ -282,40 +218,21 @@ def main(argv=None):
             f"{row['end_to_end_s']['columnar']:.2f}s "
             f"({row['end_to_end_speedup']:.2f}x)"
         )
-        if "numba_vs_array" in row:
-            print(
-                f"[bench_kernel]   numba end-to-end "
-                f"{row['end_to_end_s']['compiled']:.2f}s "
-                f"({row['numba_end_to_end_speedup']:.2f}x vs dict, "
-                f"{row['numba_vs_array']:.2f}x vs array), kernel "
-                f"{row['kernel_s']['numba']:.2f}s "
-                f"({row['numba_kernel_speedup']:.2f}x)"
-            )
 
     end_to_end_geomean = geomean([p["end_to_end_speedup"] for p in points])
-    if NUMBA_AVAILABLE:
-        numba_block["end_to_end_geomean"] = geomean(
-            [p["numba_end_to_end_speedup"] for p in points]
-        )
-        numba_block["vs_array_geomean"] = geomean([p["numba_vs_array"] for p in points])
-        numba_block["vs_array_min"] = min(p["numba_vs_array"] for p in points)
-        numba_block["kernel_speedup_geomean"] = geomean(
-            [p["numba_kernel_speedup"] for p in points]
-        )
     report = {
         "workload": "fig10 (performance vs |Q|; k=80, |P|=100K paper units)",
         "stacks": {
             label: {"flow": flow, "index": index}
-            for label, flow, index in stacks
+            for label, flow, index in STACKS
         },
-        "kernel_backends": list(kernel_backends),
+        "kernel_backends": list(KERNEL_BACKENDS),
         "scale": args.scale,
         "seed": args.seed,
         "repeats": args.repeats,
         "sweep_paper_nq": list(sweep),
         "sweep_dropped": dropped,
         "points": points,
-        "numba": numba_block,
         "kernel_speedup_geomean": geomean(
             [p["kernel_speedup"] for p in points]
         ),
@@ -344,15 +261,6 @@ def main(argv=None):
             f"{args.min_end_to_end_geomean:.3f}"
         )
         failed = True
-    if args.min_numba_vs_array_geomean is not None and NUMBA_AVAILABLE:
-        vs_array = numba_block["vs_array_geomean"]
-        if vs_array < args.min_numba_vs_array_geomean:
-            print(
-                f"[bench_kernel] FAIL: numba/array end-to-end geomean "
-                f"{vs_array:.3f} < required "
-                f"{args.min_numba_vs_array_geomean:.3f}"
-            )
-            failed = True
     return 1 if failed else 0
 
 

@@ -38,10 +38,6 @@ SCHEMAS = {
         "sweep_paper_nq": list,
         "sweep_dropped": list,
         "points": list,
-        # Three-way backend block: {"status": "ok", ...metrics} when the
-        # optional numba dependency was measured, {"status": "skipped",
-        # "reason": ...} otherwise — always present either way.
-        "numba": dict,
         "kernel_speedup_geomean": _NUM,
         "kernel_speedup_max": _NUM,
         "end_to_end_geomean": _NUM,
@@ -148,25 +144,6 @@ def fold(name: str, path: str, report: dict) -> dict:
             str(p["nq_paper"]): p["end_to_end_speedup"] for p in report["points"]
         }
         entry["sweep_dropped"] = report["sweep_dropped"]
-        numba = report["numba"]
-        entry["numba"] = {"status": numba.get("status", "skipped")}
-        if numba.get("status") == "ok":
-            entry["numba"].update(
-                {
-                    "end_to_end_geomean": numba["end_to_end_geomean"],
-                    "vs_array_geomean": numba["vs_array_geomean"],
-                    "vs_array_min": numba["vs_array_min"],
-                    "kernel_speedup_geomean": (
-                        numba["kernel_speedup_geomean"]
-                    ),
-                    "vs_array_per_point": {
-                        str(p["nq_paper"]): p["numba_vs_array"]
-                        for p in report["points"]
-                    },
-                }
-            )
-        else:
-            entry["numba"]["reason"] = numba.get("reason", "unknown")
     if name == "index":
         entry["metrics"]["end_to_end_speedup"] = (report["end_to_end"]["speedup"])
     if name == "shard":

@@ -29,7 +29,7 @@ from repro.experiments.config import DEFAULT_SCALE, PAPER_DEFAULTS
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.harness import run_method
 from repro.experiments.report import format_figure_report, format_table2
-from repro.flow.backend import BACKEND_CHOICES, get_backend
+from repro.flow.backend import BACKENDS, get_backend
 from repro.rtree.backend import INDEX_BACKENDS, index_info
 
 
@@ -129,7 +129,7 @@ def _cmd_solve(args) -> int:
         dist_p=args.dist_p,
         seed=args.seed,
     )
-    backend = get_backend(args.backend)  # warns + falls back for 'numba'
+    backend = get_backend(args.backend)
     result = run_method(
         problem,
         args.method,
@@ -190,7 +190,7 @@ def _cmd_profile(args) -> int:
         dist_p=args.dist_p,
         seed=args.seed,
     )
-    backend = get_backend(args.backend)  # warns + falls back for 'numba'
+    backend = get_backend(args.backend)
     result = run_method(
         problem,
         args.method,
@@ -199,14 +199,8 @@ def _cmd_profile(args) -> int:
         index_backend=args.index_backend,
         ann_group_size=args.ann_group_size,
     )
-    ran = backend.name
-    if ran != args.backend:
-        # The numba->array fallback emits a RuntimeWarning, but a profile
-        # is exactly where silently reading the wrong backend's numbers
-        # hurts — say which kernel actually produced them.
-        ran = f"{ran} (requested {args.backend!r}, ran {ran!r})"
     print(
-        f"method={args.method} backend={ran} "
+        f"method={args.method} backend={backend.name} "
         f"index={args.index_backend} |Q|={args.nq} |P|={args.np} "
         f"k={args.k} gamma={result.gamma}"
     )
@@ -476,12 +470,8 @@ def _cmd_index_info(args) -> int:
     tree = problem.rtree(index_backend=args.index_backend)
     build_s = time.perf_counter() - started
     info = index_info(tree)
-    # The flow backend doesn't shape the tree, but index-info is the
-    # cheapest place to check what a selection resolves to on this
-    # install (e.g. whether 'numba' is actually available).
-    flow = get_backend(args.backend)
     print(
-        f"backend={info['backend']} flow_backend={flow.name} "
+        f"backend={info['backend']} "
         f"points={info['points']} built in {build_s:.3f}s"
     )
     print(
@@ -550,13 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         type=str,
         default="dict",
-        choices=sorted(BACKEND_CHOICES),
+        choices=sorted(BACKENDS),
         help="flow-kernel backend: 'dict' is the readable reference "
-        "implementation, 'array' the columnar NumPy kernel, "
-        "'numba' the JIT-compiled kernel (requires the optional "
-        "perf extra; falls back to 'array' with a warning when "
-        "numba is absent) — identical results on all of them; "
-        "default %(default)s",
+        "implementation, 'array' the columnar NumPy kernel — "
+        "identical results on both; default %(default)s",
     )
     slv.add_argument(
         "--index-backend",
@@ -618,10 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         type=str,
         default="dict",
-        choices=sorted(BACKEND_CHOICES),
-        help="flow-kernel backend to profile ('numba' needs the perf "
-        "extra and falls back to 'array' otherwise; default "
-        "%(default)s)",
+        choices=sorted(BACKENDS),
+        help="flow-kernel backend to profile (default %(default)s)",
     )
     prof.add_argument(
         "--index-backend",
@@ -695,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         type=str,
         default="array",
-        choices=sorted(BACKEND_CHOICES),
+        choices=sorted(BACKENDS),
         help="flow-kernel backend for the warm sessions (default " "%(default)s)",
     )
     srv.add_argument(
@@ -804,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         type=str,
         default="array",
-        choices=sorted(BACKEND_CHOICES),
+        choices=sorted(BACKENDS),
         help="flow-kernel backend (default %(default)s)",
     )
     cha.add_argument(
@@ -826,14 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
     idx.add_argument("--nq", type=int, default=50)
     idx.add_argument("--np", type=int, default=5000)
     idx.add_argument("--k", type=int, default=80)
-    idx.add_argument(
-        "--backend",
-        type=str,
-        default="dict",
-        choices=sorted(BACKEND_CHOICES),
-        help="flow-kernel backend to resolve and report (checks the "
-        "optional 'numba' install; default %(default)s)",
-    )
     idx.add_argument(
         "--index-backend",
         type=str,

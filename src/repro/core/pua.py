@@ -14,11 +14,13 @@ PUA instead *repairs* the existing search state:
 The paper maintains a second heap ``Hf`` over previously-visited nodes and
 patches keys inside the main heap ``Hd``.  Our :class:`DijkstraState` uses a
 single lazy-deletion heap, so both roles collapse into
-:meth:`DijkstraState.improve` + resume: the improved customer is re-queued;
-if its new label beats the sink's, the resumed run pops it before the sink
-and re-relaxes its out-edges (the Hf cascade); otherwise the old path stands
-and the resume returns immediately.  Same node set, same order — only the
-container differs.
+:meth:`DijkstraState.improve` + resume.  An improved customer with an open
+sink edge is re-queued: if its new label beats the sink's, the resumed run
+pops it before the sink and re-relaxes its out-edges (the Hf cascade);
+otherwise the old path stands and the resume returns immediately.  A
+pass-through customer (sink edge closed) is never queued: ``improve``
+relays the new label to its providers on the spot, re-queuing those that
+improve, and the resumed run carries the cascade on from them.
 
 PUA state is valid only *within* one CCA iteration: augmenting a path
 reverses edges and moves potentials, so the engine discards the state after

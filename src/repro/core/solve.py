@@ -58,12 +58,9 @@ def solve(
         Section 3.4.2 group size from
         ``experiments.config.PAPER_DEFAULTS``.
     backend:
-        Flow-kernel selector (``"dict"`` reference, ``"array"`` columnar
-        kernel, or ``"numba"`` JIT-compiled kernel when the optional
-        ``perf`` extra is installed; see :mod:`repro.flow.backend`).
-        All return identical matchings; ``array`` and ``numba`` are
-        faster at scale, and ``"numba"`` falls back to ``array`` with a
-        warning when the dependency is absent.
+        Flow-kernel selector (``"dict"`` reference or ``"array"``
+        columnar kernel; see :mod:`repro.flow.backend`).  Both return
+        identical matchings; ``array`` is faster at scale.
     index_backend:
         Spatial-index selector (``"pointer"`` reference R-tree or
         ``"packed"`` columnar array tree; see :mod:`repro.rtree.backend`).

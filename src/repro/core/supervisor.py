@@ -110,6 +110,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """
     procs_map = getattr(pool, "_processes", None)
     procs = list(procs_map.values()) if isinstance(procs_map, dict) else []
+    manager = getattr(pool, "_executor_manager_thread", None)
     for proc in procs:
         try:
             proc.terminate()
@@ -128,6 +129,20 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         # may race process exit; there is nothing left to signal
         except Exception:
             pass
+    # The executor's manager thread joins the same processes concurrently.
+    # Two threads blocked in waitpid() on one pid race: the loser gets
+    # ECHILD and reports the child as running until the winner records
+    # its exit code, so a caller checking active_children() right after
+    # this returns could still see a dead worker.  Wait for the manager
+    # thread to finish its joins, then reap until every worker has a
+    # recorded exit code.
+    if manager is not None:
+        manager.join(timeout=5.0)
+    deadline = time.monotonic() + 5.0
+    while any(proc.exitcode is None for proc in procs):
+        if time.monotonic() >= deadline:
+            break
+        time.sleep(0.01)
 
 
 def run_supervised(

@@ -60,7 +60,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.flow.dijkstra import _OFF, INF, DijkstraState
+from repro.flow.dijkstra import _OFF, INF, DijkstraState, _tie_wins
 from repro.flow.graph import (
     S_NODE,
     CCAFlowNetwork,
@@ -420,11 +420,11 @@ class ArrayFlowNetwork(CCAFlowNetwork):
     def augment_with_state(self, path_nodes, alpha_min, state) -> None:
         """Algorithm-1 potential update straight off the Dijkstra state.
 
-        Walks the settled order once (same dedup the reference backend's
-        ``settled_items`` applies), advances the *list mirrors* with plain
-        float arithmetic, and commits the touched rows to the NumPy
-        potential vectors as two fancy-index scatters — no per-node NumPy
-        scalar traffic in either direction.
+        Walks the settled order and the relayed customers once (the same
+        nodes the reference backend's ``settled_items`` yields), advances
+        the *list mirrors* with plain float arithmetic, and commits the
+        touched rows to the NumPy potential vectors as two fancy-index
+        scatters — no per-node NumPy scalar traffic in either direction.
         """
         if not isinstance(state, ArrayDijkstraState):
             self.augment(path_nodes, alpha_min, state.settled_alpha_for_update())
@@ -466,6 +466,16 @@ class ArrayFlowNetwork(CCAFlowNetwork):
                 prov_v.append(v)
                 if v > top:
                     top = v
+        # Relayed customers appear once each; those beyond the sink are
+        # not settled (delta < 0) and most of the list is usually those.
+        for idx in state._relayed:
+            delta = alpha_min - alpha[idx]
+            if delta > 0:
+                j = idx - base_c
+                v = p_py[j] + delta
+                p_py[j] = v
+                cust_t.append(j)
+                cust_v.append(v)
         if prov_t:
             self.q_tau[prov_t] = prov_v
             self._tau_max = top
@@ -682,6 +692,7 @@ class ArrayDijkstraState(DijkstraState):
         self._prev = [-3] * size
         self._settled = [False] * size
         self._settled_order = []
+        self._relayed = []
         self._heap = []
         self.pops = 0
         self._alpha[S_NODE + _OFF] = 0.0
@@ -699,19 +710,47 @@ class ArrayDijkstraState(DijkstraState):
         alpha = float(alpha)
         self._alpha[idx] = alpha
         self._prev[idx] = prev + _OFF
-        self._settled[idx] = False
-        heapq.heappush(self._heap, (alpha, idx))
+        if self._passes_through(idx):
+            self._relay(idx, alpha)
+        else:
+            self._settled[idx] = False
+            heapq.heappush(self._heap, (alpha, idx))
         return True
+
+    def _relax_backward(self, idx: int, base: float) -> None:
+        # The reference loop over the Python-native backward mirror.
+        net = self.net
+        alpha = self._alpha
+        prev = self._prev
+        settled = self._settled
+        j = idx - _OFF - net.nq
+        p_tau_j = net._p_tau_py[j]
+        q_tau = net._q_tau_py
+        for _, i, d in net._bwd[j]:
+            w = q_tau[i] - d - p_tau_j
+            a = base + (w if w > 0.0 else 0.0)
+            t = i + _OFF
+            if a < alpha[t]:
+                alpha[t] = a
+                prev[t] = idx
+                settled[t] = False
+                heapq.heappush(self._heap, (a, t))
+            elif (
+                a == alpha[t]
+                and not settled[t]
+                and _tie_wins(alpha, prev, t, base, idx)
+            ):
+                prev[t] = idx
 
     def run(self) -> bool:
         """The reference pop loop with the customer relaxation inlined.
 
-        ~90% of pops settle customers, whose relaxation is one tiny
-        backward fan plus the sink edge; at that call frequency the
-        method-dispatch and local-binding overhead of ``_relax_out`` is
-        the dominant cost, so the customer case runs inline and only
-        source/provider pops (the wide fans) pay the dispatch.  Identical
-        pop order, labels, and predecessors to :class:`DijkstraState`.
+        Only customers with an open sink edge are ever popped (see
+        :mod:`repro.flow.dijkstra`); their relaxation is one tiny backward
+        fan plus the sink edge, cheap enough that method dispatch would
+        dominate it, so it runs inline and only source/provider pops pay
+        the dispatch.  Identical pop order, labels, and predecessors to
+        :class:`DijkstraState`.
         """
         heap = self._heap
         alpha = self._alpha
@@ -721,8 +760,6 @@ class ArrayDijkstraState(DijkstraState):
         net = self.net
         nq = net.nq
         bwd = net._bwd
-        p_used = net.p_used
-        p_cap = net.p_cap
         # Potentials are frozen while an iteration's search is live (they
         # only move in augment), so binding the mirrors once per run is
         # safe — including across PUA resumes.
@@ -744,7 +781,7 @@ class ArrayDijkstraState(DijkstraState):
             order.append(idx)
             pops += 1
             node = idx - _OFF
-            if node >= nq:  # customer: inline relaxation
+            if node >= nq:  # open customer: inline relaxation
                 j = node - nq
                 p_tau_j = p_tau[j]
                 for _, i, d in bwd[j]:
@@ -756,13 +793,18 @@ class ArrayDijkstraState(DijkstraState):
                         prev[t] = idx
                         settled[t] = False
                         push(heap, (av, t))
-                if p_used[j] < p_cap[j]:
-                    w = -p_tau_j
-                    av = a + (w if w > 0.0 else 0.0)
-                    if av < alpha[0]:
-                        alpha[0] = av
-                        prev[0] = idx
-                        push(heap, (av, 0))
+                    elif (
+                        av == alpha[t]
+                        and not settled[t]
+                        and _tie_wins(alpha, prev, t, a, idx)
+                    ):
+                        prev[t] = idx
+                w = -p_tau_j
+                av = a + (w if w > 0.0 else 0.0)
+                if av < alpha[0]:
+                    alpha[0] = av
+                    prev[0] = idx
+                    push(heap, (av, 0))
             else:
                 self._relax_out(idx, a)
         self.pops += pops
@@ -778,6 +820,7 @@ class ArrayDijkstraState(DijkstraState):
         return np_alpha
 
     def _relax_out(self, idx: int, base: float) -> None:
+        """Relax the out-edges of the source or of a provider."""
         net = self.net
         alpha = self._alpha
         prev = self._prev
@@ -838,64 +881,78 @@ class ArrayDijkstraState(DijkstraState):
                         prev[tv] = idx
                         push(heap, (av, tv))
             return
+        # A provider (customers never get here: run() relaxes open ones
+        # inline, and pass-through ones are relayed, never popped).
         node = idx - _OFF
-        if node < nq:  # provider: forward relaxation
-            n = net._fwd_n[node]
-            if not n:
-                return
-            if n < SCALAR_FAN_LIMIT:
-                q_tau_i = net._q_tau_py[node]
-                p_tau = net._p_tau_py
-                for tgt, j, d, _eid in net._fwd_py[node]:
-                    # Reference op order: (d − τ_q) + τ_p, clamp, + base.
-                    w = d - q_tau_i + p_tau[j]
-                    a = base + (w if w > 0.0 else 0.0)
-                    if a < alpha[tgt]:
-                        alpha[tgt] = a
-                        prev[tgt] = idx
+        n = net._fwd_n[node]
+        if not n:
+            return
+        if n < SCALAR_FAN_LIMIT:
+            q_tau = net._q_tau_py
+            q_tau_i = q_tau[node]
+            p_tau = net._p_tau_py
+            p_used = net.p_used
+            p_cap = net.p_cap
+            bwd = net._bwd
+            relayed = self._relayed
+            for tgt, j, d, _eid in net._fwd_py[node]:
+                # Reference op order: (d − τ_q) + τ_p, clamp, + base.
+                w = d - q_tau_i + p_tau[j]
+                a = base + (w if w > 0.0 else 0.0)
+                if a < alpha[tgt]:
+                    alpha[tgt] = a
+                    prev[tgt] = idx
+                    if p_used[j] < p_cap[j]:
                         settled[tgt] = False
                         push(heap, (a, tgt))
-                return
-            # Wide block: one masked compare-and-update over the
-            # provider's contiguous (target, distance) columns.
-            w = net._fwd_dist[node][:n] - net._q_tau_py[node]
-            targets = net._fwd_tgt[node][:n]
-            w += net.p_tau[targets - (nq + _OFF)]
-            np.maximum(w, 0.0, out=w)
-            w += base
-            np_alpha = self._shadow()
-            ok = w < np_alpha[targets]
-            upd_t = targets[ok]
-            if upd_t.size:
-                upd_a = w[ok]
-                np_alpha[upd_t] = upd_a
-                for av, tv in zip(upd_a.tolist(), upd_t.tolist(), strict=False):
-                    # Re-check against the true labels: the shadow is an
-                    # upper bound, so the mask can admit false positives.
-                    if av < alpha[tv]:
-                        alpha[tv] = av
-                        settled[tv] = False
-                        prev[tv] = idx
-                        push(heap, (av, tv))
+                        continue
+                    # Pass-through customer: the reference _relay,
+                    # inlined (this is the hottest loop of a search).
+                    if not settled[tgt]:
+                        settled[tgt] = True
+                        relayed.append(tgt)
+                    p_tau_j = p_tau[j]
+                    for _, i, d2 in bwd[j]:
+                        w = q_tau[i] - d2 - p_tau_j
+                        a2 = a + (w if w > 0.0 else 0.0)
+                        t = i + _OFF
+                        if a2 < alpha[t]:
+                            alpha[t] = a2
+                            prev[t] = tgt
+                            settled[t] = False
+                            push(heap, (a2, t))
+                        elif (
+                            a2 == alpha[t]
+                            and not settled[t]
+                            and _tie_wins(alpha, prev, t, a, tgt)
+                        ):
+                            prev[t] = tgt
             return
-        # Customer: backward fans are tiny (≤ weight flow edges) and
-        # mirrored as Python floats, so the scalar loop always wins.
-        j = node - nq
-        p_tau_j = net._p_tau_py[j]
-        q_tau = net._q_tau_py
-        for _, i, d in net._bwd[j]:
-            w = q_tau[i] - d - p_tau_j
-            a = base + (w if w > 0.0 else 0.0)
-            t = i + _OFF
-            if a < alpha[t]:
-                alpha[t] = a
-                prev[t] = idx
-                settled[t] = False
-                push(heap, (a, t))
-        if net.p_used[j] < net.p_cap[j]:
-            w = -p_tau_j
-            a = base + (w if w > 0.0 else 0.0)
-            if a < alpha[0]:  # T_NODE + _OFF == 0
-                alpha[0] = a
-                prev[0] = idx
-                push(heap, (a, 0))
+        # Wide block: one masked compare-and-update over the
+        # provider's contiguous (target, distance) columns.
+        w = net._fwd_dist[node][:n] - net._q_tau_py[node]
+        targets = net._fwd_tgt[node][:n]
+        w += net.p_tau[targets - (nq + _OFF)]
+        np.maximum(w, 0.0, out=w)
+        w += base
+        np_alpha = self._shadow()
+        ok = w < np_alpha[targets]
+        upd_t = targets[ok]
+        if upd_t.size:
+            upd_a = w[ok]
+            np_alpha[upd_t] = upd_a
+            p_used = net.p_used
+            p_cap = net.p_cap
+            base_c = nq + _OFF
+            for av, tv in zip(upd_a.tolist(), upd_t.tolist(), strict=False):
+                # Re-check against the true labels: the shadow is an
+                # upper bound, so the mask can admit false positives.
+                if av < alpha[tv]:
+                    alpha[tv] = av
+                    prev[tv] = idx
+                    j = tv - base_c
+                    if p_used[j] < p_cap[j]:
+                        settled[tv] = False
+                        push(heap, (av, tv))
+                    else:
+                        self._relay(tv, av)

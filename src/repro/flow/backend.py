@@ -14,15 +14,8 @@ logic:
   storage) + :class:`~repro.flow.arraykernel.ArrayDijkstraState`
   (vectorized relaxation).  Bit-identical results, multi-x faster inner
   loop at Figure-10 scales.
-* ``numba`` — the compiled backend:
-  :class:`~repro.flow.numbakernel.NumbaFlowNetwork` (array backend plus
-  pooled-slab adjacency mirrors) +
-  :class:`~repro.flow.numbakernel.NumbaDijkstraState` (the whole
-  pop/relax/commit loop as one ``@njit`` kernel).  Registered only when
-  the optional ``numba`` dependency imports (the ``perf`` extra);
-  :func:`get_backend` falls back to ``array`` with a warning otherwise.
 
-All produce identical matchings, costs, and |Esub| on every instance —
+Both produce identical matchings, costs, and |Esub| on every instance —
 ``tests/property/test_backend_equivalence.py`` and the integration
 equivalence suite enforce it.  Solvers accept ``backend=`` as either a
 name from :data:`BACKENDS` or a :class:`FlowBackend` instance.
@@ -30,7 +23,6 @@ name from :data:`BACKENDS` or a :class:`FlowBackend` instance.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Union
 
@@ -38,11 +30,6 @@ from repro.flow.dijkstra import DijkstraState
 from repro.flow.graph import CCAFlowNetwork
 
 DEFAULT_BACKEND = "dict"
-
-# Every backend name a CLI may offer, including optional ones that need
-# an extra installed.  ``BACKENDS`` holds what is actually usable here.
-BACKEND_CHOICES = ("array", "dict", "numba")
-
 
 @dataclass(frozen=True)
 class FlowBackend:
@@ -71,19 +58,10 @@ class FlowBackend:
 def _build_registry() -> Dict[str, FlowBackend]:
     from repro.flow.arraykernel import ArrayDijkstraState, ArrayFlowNetwork
 
-    registry = {
+    return {
         "dict": FlowBackend("dict", CCAFlowNetwork, DijkstraState),
         "array": FlowBackend("array", ArrayFlowNetwork, ArrayDijkstraState),
     }
-    from repro.flow.numbakernel import (
-        NUMBA_AVAILABLE,
-        NumbaDijkstraState,
-        NumbaFlowNetwork,
-    )
-
-    if NUMBA_AVAILABLE:
-        registry["numba"] = FlowBackend("numba", NumbaFlowNetwork, NumbaDijkstraState)
-    return registry
 
 
 BACKENDS: Dict[str, FlowBackend] = _build_registry()
@@ -93,28 +71,12 @@ BackendLike = Union[str, FlowBackend]
 
 
 def get_backend(backend: BackendLike = DEFAULT_BACKEND) -> FlowBackend:
-    """Resolve a backend selector (name or instance) to a FlowBackend.
-
-    ``"numba"`` without the optional dependency installed resolves to
-    ``array`` (the closest substrate, identical results) with a
-    :class:`RuntimeWarning` rather than failing the run.
-    """
+    """Resolve a backend selector (name or instance) to a FlowBackend."""
     if isinstance(backend, FlowBackend):
         return backend
     try:
         return BACKENDS[backend]
     except (KeyError, TypeError):
-        if backend == "numba":
-            warnings.warn(
-                "flow backend 'numba' requires the optional 'perf' extra "
-                "(pip install .[perf] from a checkout, or "
-                "pip install repro-cca[perf]); falling back to the "
-                "interpreted 'array' backend — identical results, slower "
-                "inner loop",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return BACKENDS["array"]
         raise ValueError(
             f"unknown flow backend {backend!r}; expected one of "
             f"{tuple(sorted(BACKENDS))} or a FlowBackend instance"

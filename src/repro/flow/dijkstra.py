@@ -12,6 +12,25 @@ attempted augmentation).  It supports:
 Settled nodes whose α later improves are simply un-settled and re-queued,
 which keeps resumption correct without any special-casing.
 
+**Pass-through customers are never queued.**  A customer whose sink edge
+is closed (``p_used[j] == p_cap[j]`` — every matched weight-1 customer)
+has only backward residual edges, so popping it would do nothing but
+hand its label on to its providers.  Instead, whenever its label
+improves the search relaxes those backward edges on the spot (the
+*relay*), with the same float expression and clamp order a pop would
+use.  Since every edge has a non-negative reduced cost, a relayed label
+is never below the label that produced it, so the providers receive
+exactly the labels a pop would have given them, only earlier.  What a
+search pops — and what :attr:`pops` counts — is the source, providers
+and customers with an open sink edge; in a late IDA iteration that is a
+small fraction of the nodes it labels.
+
+A relayed customer enters :attr:`_relayed` once, on its first relay, and
+counts as settled only while its label is ≤ ``sp_cost`` — exactly the
+customers a textbook search would have popped before the sink (up to
+nodes at α = ``sp_cost``, whose potential delta is 0 anyway).  Potential
+updates therefore see the same nodes as a search that queues everything.
+
 Storage is flat arrays indexed by ``node + 2`` (sink ``-2`` → 0, source
 ``-1`` → 1, providers/customers shifted up) — the innermost loop of every
 solver runs here, and array indexing beats dict lookups by a large factor
@@ -21,14 +40,21 @@ and clamp to 0 (genuinely negative ones are impossible while only
 Theorem-1-certified paths are augmented, and the flow-network unit tests
 assert against them).
 
-This class is also the *tie-breaking specification* for the fused
-columnar pipeline: heap entries are ``(α, node_index)`` tuples, so the
-pop sequence is the unique lexicographic order of the surviving labels —
-independent of push order.  That is what lets the array backend
-(:mod:`repro.flow.arraykernel`) relax wide edge blocks vectorized and
-push improvements in batch while staying bit-identical to this scalar
-reference (``tests/property/test_bulk_edges.py`` pins the equality down
-to settled orders and pop counts).
+This class is also the *tie-breaking specification* for the columnar
+kernel (:mod:`repro.flow.arraykernel`), which must match it bit for bit
+(``tests/property/test_bulk_edges.py`` pins the equality down to settled
+orders and pop counts):
+
+* heap entries are ``(α, node_index)`` tuples, so the pop sequence is the
+  unique lexicographic order of the surviving labels — independent of
+  push order;
+* a provider offered a label equal to its current one by a customer
+  (popped or relayed) takes that customer as predecessor when
+  ``(α_customer, index)`` is lexicographically smaller than its current
+  predecessor's — the customer a textbook search would have popped first.
+  The winner is the minimum over all offers, so it does not depend on the
+  order in which one provider's forward fan relays its customers (dict
+  order here, swap-removed compact arrays in the columnar kernel).
 """
 
 from __future__ import annotations
@@ -42,6 +68,15 @@ INF = float("inf")
 _OFF = 2  # node id -> array index offset
 
 
+def _tie_wins(
+    alpha: List[float], prev: List[int], t: int, base: float, idx: int
+) -> bool:
+    """Does customer ``idx`` at label ``base`` beat provider ``t``'s current
+    predecessor for an equal offer?  (The rule in the module docstring.)"""
+    p = prev[t]
+    return base < alpha[p] or (base == alpha[p] and idx < p)
+
+
 class DijkstraState:
     """Shortest-path computation state for a single CCA iteration."""
 
@@ -51,6 +86,7 @@ class DijkstraState:
         "_prev",
         "_settled",
         "_settled_order",
+        "_relayed",
         "_heap",
         "pops",
     )
@@ -61,9 +97,10 @@ class DijkstraState:
         self._alpha = [INF] * size
         self._prev = [-3] * size  # -3 = unreached
         self._settled = [False] * size
-        self._settled_order: List[int] = []  # indices, may hold stale dups
+        self._settled_order: List[int] = []  # popped, may hold stale dups
+        self._relayed: List[int] = []  # pass-through customers, each once
         self._heap: List[Tuple[float, int]] = []
-        self.pops = 0  # settled-pop counter (work metric)
+        self.pops = 0  # heap pops that settle a node (work metric)
         self._alpha[S_NODE + _OFF] = 0.0
         heapq.heappush(self._heap, (0.0, S_NODE + _OFF))
 
@@ -74,36 +111,88 @@ class DijkstraState:
         """Current label of ``node`` (INF when unreached)."""
         return self._alpha[node + _OFF]
 
+    def _passes_through(self, idx: int) -> bool:
+        """Is the node at ``idx`` a customer whose sink edge is closed?
+        (Fixed for the life of a search: only augmenting moves p_used.)"""
+        j = idx - _OFF - self.net.nq
+        return j >= 0 and self.net.p_used[j] >= self.net.p_cap[j]
+
     def is_settled(self, node: int) -> bool:
-        return self._settled[node + _OFF]
+        idx = node + _OFF
+        if not self._settled[idx]:
+            return False
+        if self._passes_through(idx):
+            return self._alpha[idx] <= self._alpha[T_NODE + _OFF]
+        return True
 
     def settled_alpha(self, node: int) -> Optional[float]:
         """α of ``node`` if it is currently settled, else None."""
-        idx = node + _OFF
-        return self._alpha[idx] if self._settled[idx] else None
+        return self._alpha[node + _OFF] if self.is_settled(node) else None
 
     def settled_items(self) -> Iterator[Tuple[int, float]]:
-        """(node, α) for every currently settled node."""
+        """(node, α) for every currently settled node: popped nodes in
+        pop order, then relayed customers."""
         seen = set()
         for idx in self._settled_order:
             if self._settled[idx] and idx not in seen:
                 seen.add(idx)
+                yield idx - _OFF, self._alpha[idx]
+        sp_cost = self._alpha[T_NODE + _OFF]
+        for idx in self._relayed:
+            if self._alpha[idx] <= sp_cost:
                 yield idx - _OFF, self._alpha[idx]
 
     # ------------------------------------------------------------------
     # relaxation primitives
     # ------------------------------------------------------------------
     def improve(self, node: int, alpha: float, prev: int) -> bool:
-        """Offer a shorter path to ``node``; re-queues (and un-settles) it
-        when the offer wins.  Returns True if α improved."""
+        """Offer a shorter path to ``node``; when the offer wins, relays
+        it on (pass-through customer) or re-queues and un-settles it.
+        Returns True if α improved."""
         idx = node + _OFF
         if alpha >= self._alpha[idx]:
             return False
         self._alpha[idx] = alpha
         self._prev[idx] = prev + _OFF
-        self._settled[idx] = False
-        heapq.heappush(self._heap, (alpha, idx))
+        if self._passes_through(idx):
+            self._relay(idx, alpha)
+        else:
+            self._settled[idx] = False
+            heapq.heappush(self._heap, (alpha, idx))
         return True
+
+    def _relay(self, idx: int, base: float) -> None:
+        """Pass-through customer ``idx`` just took label ``base``: relax
+        its backward edges now instead of queueing it."""
+        if not self._settled[idx]:
+            self._settled[idx] = True
+            self._relayed.append(idx)
+        self._relax_backward(idx, base)
+
+    def _relax_backward(self, idx: int, base: float) -> None:
+        """Relax the residual reverse edges of the customer at ``idx``."""
+        net = self.net
+        alpha = self._alpha
+        prev = self._prev
+        settled = self._settled
+        j = idx - _OFF - net.nq
+        p_tau_j = net.p_tau[j]
+        q_tau = net.q_tau
+        for i, d in net.backward[j].items():
+            w = q_tau[i] - d - p_tau_j
+            a = base + (w if w > 0.0 else 0.0)
+            t = i + _OFF
+            if a < alpha[t]:
+                alpha[t] = a
+                prev[t] = idx
+                settled[t] = False
+                heapq.heappush(self._heap, (a, t))
+            elif (
+                a == alpha[t]
+                and not settled[t]
+                and _tie_wins(alpha, prev, t, base, idx)
+            ):
+                prev[t] = idx
 
     def _relax_out(self, idx: int, base: float) -> None:
         """Relax every residual out-edge of the node at array index
@@ -143,6 +232,8 @@ class DijkstraState:
         if node < nq:  # provider: forward bipartite edges
             q_tau_i = net.q_tau[node]
             p_tau = net.p_tau
+            p_used = net.p_used
+            p_cap = net.p_cap
             base_off = nq + _OFF
             for j, d in net.forward[node].items():
                 w = d - q_tau_i + p_tau[j]
@@ -151,30 +242,21 @@ class DijkstraState:
                 if a < alpha[t]:
                     alpha[t] = a
                     prev[t] = idx
-                    settled[t] = False
-                    push(heap, (a, t))
+                    if p_used[j] >= p_cap[j]:
+                        self._relay(t, a)
+                    else:
+                        settled[t] = False
+                        push(heap, (a, t))
             return
-        # customer: residual reverse edges, plus the sink edge if open
-        j = node - nq
-        p_tau_j = net.p_tau[j]
-        q_tau = net.q_tau
-        for i, d in net.backward[j].items():
-            w = q_tau[i] - d - p_tau_j
-            a = base + (w if w > 0.0 else 0.0)
-            t = i + _OFF
-            if a < alpha[t]:
-                alpha[t] = a
-                prev[t] = idx
-                settled[t] = False
-                push(heap, (a, t))
-        if net.p_used[j] < net.p_cap[j]:
-            w = -p_tau_j
-            a = base + (w if w > 0.0 else 0.0)
-            t = T_NODE + _OFF
-            if a < alpha[t]:
-                alpha[t] = a
-                prev[t] = idx
-                push(heap, (a, t))
+        # customer with an open sink edge: residual reverse edges, then t
+        self._relax_backward(idx, base)
+        w = -net.p_tau[node - nq]
+        a = base + (w if w > 0.0 else 0.0)
+        t = T_NODE + _OFF
+        if a < alpha[t]:
+            alpha[t] = a
+            prev[t] = idx
+            push(heap, (a, t))
 
     # ------------------------------------------------------------------
     # the main loop

@@ -1,15 +1,10 @@
 """Property tests for the flow-backend seam.
 
-The array and numba kernels must be *bit-identical* to the dict
-reference backend — same matching cost, same |Esub|, same matched pairs
-— on every instance, for every exact method.  Reduced costs are
-evaluated with the same float operation order in all kernels, so exact
-``==`` comparisons are the specification here, not an approximation.
-
-The numba axis runs through :func:`interpreted_backend` when the
-optional dependency is absent (the kernels execute as plain Python —
-same bytes, interpreter speed); the CI ``test-numba`` job re-runs this
-file with the JIT actually active.
+The array kernel must be *bit-identical* to the dict reference backend
+— same matching cost, same |Esub|, same matched pairs — on every
+instance, for every exact method.  Reduced costs are evaluated with the
+same float operation order in both kernels, so exact ``==`` comparisons
+are the specification here, not an approximation.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -17,11 +12,8 @@ from hypothesis import strategies as st
 
 from repro.core.problem import CCAProblem
 from repro.core.solve import solve
-from repro.flow.backend import BACKENDS
-from repro.flow.numbakernel import interpreted_backend
 
-NUMBA_BACKEND = BACKENDS.get("numba") or interpreted_backend()
-NON_REFERENCE = ("array", NUMBA_BACKEND)
+NON_REFERENCE = ("array",)
 
 coord = st.floats(
     min_value=0.0, max_value=1000.0, allow_nan=False, allow_infinity=False

@@ -15,14 +15,8 @@ from hypothesis import strategies as st
 from repro.core.problem import CCAProblem
 from repro.core.solve import solve
 from repro.flow.backend import BACKENDS
-from repro.flow.numbakernel import interpreted_backend
 
-# Every backend axis, always including numba: the registry offers it when
-# the optional dependency is installed; otherwise the kernels run
-# interpreted through the same classes — identical bytes, so identical
-# traces, which is exactly what these tests pin.
 ALL_BACKENDS = dict(BACKENDS)
-ALL_BACKENDS.setdefault("numba", interpreted_backend())
 
 dist_f = st.floats(
     min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -192,7 +186,7 @@ def test_fused_supply_identical_across_backend_axes(data, method):
     if sum(caps) == 0:
         caps[0] = 1
     reference = None
-    for flow in ("dict", "array", ALL_BACKENDS["numba"]):
+    for flow in ("dict", "array"):
         for index in ("pointer", "packed"):
             problem = CCAProblem.from_arrays(q_xy, caps, p_xy)
             m = solve(problem, method, backend=flow, index_backend=index)

@@ -3,7 +3,7 @@
 For any seeding instance, any generated event stream, and any batching
 window, the single-shard service's live matching after the replay must be
 bit-identical to a cold solve of the final problem state — on every flow
-kernel (dict / array / numba-or-interpreted) crossed with every index
+kernel (dict / array) crossed with every index
 backend (pointer / packed).  This is the serving layer's acceptance
 contract; the bench gate re-checks one point of it in CI, this file
 sweeps the space.
@@ -15,13 +15,10 @@ from hypothesis import strategies as st
 
 from repro.datagen.events import EventStreamSpec, generate_events
 from repro.datagen.workloads import make_problem
-from repro.flow.backend import BACKENDS
-from repro.flow.numbakernel import interpreted_backend
 from repro.rtree.backend import INDEX_BACKENDS
 from repro.serve.engine import OnlineAssignmentService
 
-NUMBA_BACKEND = BACKENDS.get("numba") or interpreted_backend()
-FLOW_AXES = ("dict", "array", NUMBA_BACKEND)
+FLOW_AXES = ("dict", "array")
 INDEX_AXES = tuple(INDEX_BACKENDS)
 
 stream_shape = st.fixed_dictionaries(
@@ -58,7 +55,7 @@ def _replay(shape, backend, index_backend):
 
 
 @pytest.mark.parametrize("index_backend", INDEX_AXES)
-@pytest.mark.parametrize("backend", FLOW_AXES, ids=("dict", "array", "numba"))
+@pytest.mark.parametrize("backend", FLOW_AXES)
 @settings(
     max_examples=8,
     deadline=None,
@@ -82,5 +79,5 @@ def test_backends_agree_with_each_other(shape):
     """All kernel combinations must also agree pairwise on the *live*
     pairs (not just each against its own cold reference)."""
     reference = sorted(_replay(shape, "dict", "pointer").live_pairs())
-    for backend, ids in (("array", "packed"), (NUMBA_BACKEND, "pointer")):
+    for backend, ids in (("array", "packed"), ("array", "pointer")):
         assert (sorted(_replay(shape, backend, ids).live_pairs()) == reference)
