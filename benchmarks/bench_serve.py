@@ -15,12 +15,17 @@ holding warm per-shard sessions, and reports:
   fallback kinds (pre-assign hazards and mid-assign dual-repair
   failures), so a latency regression can be attributed.
 
-One correctness gate always runs (CI executes it at tiny scale):
-after replaying each stream on a single-shard service, the live matching
-must be **bit-identical** to a cold ``solve()`` of the final problem
-state — the serving layer's acceptance contract.  ``--shards > 1`` runs
-the sharded service for the latency numbers and gates on a separate
-single-shard replay of the same streams.
+Two correctness gates run (CI executes both at tiny scale):
+
+* after replaying each stream on a single-shard service, the live
+  matching must be **bit-identical** to a cold ``solve()`` of the final
+  problem state — the serving layer's acceptance contract.  ``--shards >
+  1`` runs the sharded service for the latency numbers and gates on a
+  separate single-shard replay of the same streams;
+* the final residual state of **every shard session** of every replay
+  must pass the solver-independent optimality certificate
+  (:func:`repro.core.certify.certify`), so a pinned arrival that the
+  session repaired in place is never kept uncertified.
 
 Usage::
 
@@ -36,6 +41,7 @@ import json
 import os
 import time
 
+from repro.core.certify import certify
 from repro.core.faults import FaultPlan
 from repro.datagen.events import (
     PROFILES,
@@ -82,6 +88,22 @@ def bench_profile(profile, args):
     return service, stats, summary
 
 
+def certify_sessions(service, label):
+    """Every shard session's final residual state must certify optimal
+    for its sub-instance.  Raises on violation; returns the count."""
+    for index, session in sorted(service.sessions.items()):
+        net = session.net
+        q_tau, p_tau = net.tau_lists()
+        failure = certify(
+            session.problem, net.matching_flows(), q_tau, p_tau, net.tau_s
+        )
+        if failure is not None:
+            raise AssertionError(
+                f"certificate failed on {label}, shard {index}: {failure}"
+            )
+    return len(service.sessions)
+
+
 def identity_gate(profile, args):
     """Single-shard replay must be bit-identical to a cold solve of the
     final state.  Raises on violation."""
@@ -90,6 +112,7 @@ def identity_gate(profile, args):
     events = generate_events(problem, spec, seed=args.seed)
     service = OnlineAssignmentService(problem, shards=1, backend="array")
     service.run(events, window=args.window)
+    certified = certify_sessions(service, f"{profile} single-shard replay")
     report = service.verify_against_cold()
     if not report["identical"]:
         raise AssertionError(
@@ -100,6 +123,7 @@ def identity_gate(profile, args):
         )
     report["profile"] = profile
     report["status"] = "pass"
+    report["certified_sessions"] = certified
     return report
 
 
@@ -136,6 +160,7 @@ def bench_faulted(args):
     summary = stats.summary()
 
     identical = sorted(faulted.live_pairs()) == reference
+    certified = certify_sessions(faulted, "faulted replay")
     cold_report = faulted.verify_against_cold()
     if not (identical and cold_report["identical"]):
         raise AssertionError(
@@ -150,6 +175,7 @@ def bench_faulted(args):
     return {
         "status": "pass",
         "profile": profile,
+        "certified_sessions": certified,
         "fault_every": args.fault_every,
         "session_kills": len(kill_groups),
         "clean_latency_p50_ms": clean_summary["latency_p50_ms"],
@@ -224,8 +250,10 @@ def main(argv=None):
     rows = []
     pooled_latencies = []
     total_events = 0
+    certified = 0
     for profile in args.profiles:
         service, stats, summary = bench_profile(profile, args)
+        certified += certify_sessions(service, f"{profile} replay")
         rows.append(summary)
         pooled_latencies.extend(stats.group_latencies_s)
         total_events += stats.events
@@ -234,7 +262,8 @@ def main(argv=None):
             f"{stats.groups} groups, p50 {summary['latency_p50_ms']:.1f}ms "
             f"p99 {summary['latency_p99_ms']:.1f}ms, "
             f"{summary['events_per_sec']:.0f} ev/s, warm rate "
-            f"{summary['warm_rate']:.2f}"
+            f"{summary['warm_rate']:.2f}, {stats.arrival_repairs} arrival "
+            f"repairs, cold reasons {summary['cold_reasons']}"
         )
 
     gates = []
@@ -242,6 +271,7 @@ def main(argv=None):
         for profile in args.profiles:
             gate = identity_gate(profile, args)
             gates.append(gate)
+            certified += gate["certified_sessions"]
             print(
                 f"[bench_serve] bit-identity vs cold solve ({profile}): "
                 f"{gate['status']} ({gate['live_size']} pairs)"
@@ -251,6 +281,7 @@ def main(argv=None):
         faulted = {"status": "skipped"}
     else:
         faulted = bench_faulted(args)
+        certified += faulted["certified_sessions"]
         print(
             f"[bench_serve] faulted replay ({faulted['profile']}): "
             f"{faulted['session_kills']} session kills, degraded p99 "
@@ -294,6 +325,8 @@ def main(argv=None):
             "status": "skipped" if args.skip_identity_gate else "pass",
             "gates": gates,
         },
+        # Every shard session's final state passed certify().
+        "certificate": {"status": "pass", "sessions": certified},
         # Degraded-mode point: serving under a fixed session-crash rate.
         "faulted": faulted,
         "degraded_latency_p99_ms": faulted.get(

@@ -169,6 +169,7 @@ def fold(name: str, path: str, report: dict) -> dict:
         entry["gates"] = {
             "bit_identity": report["bit_identity"]["status"],
             "faulted_identity": faulted.get("status", "skipped"),
+            "certificate": report.get("certificate", {}).get("status", "skipped"),
         }
         if faulted.get("status") == "pass":
             entry["faulted"] = {

@@ -297,6 +297,13 @@ def _cmd_serve(args) -> int:
         f"warm rate {summary['warm_rate']:.2f}, "
         f"{stats.rejected} events rejected"
     )
+    reasons = ", ".join(
+        f"{reason} {count}" for reason, count in summary["cold_reasons"].items()
+    )
+    print(
+        f"arrival repairs: {stats.arrival_repairs} pinned arrivals repaired "
+        f"in place; cold reasons: {reasons or 'none'}"
+    )
     print(
         f"degraded ops: {stats.quarantines} quarantines "
         f"({stats.quarantine_s:.3f}s rebuilding cold), "

@@ -40,11 +40,6 @@ Matching is purely positional — ``(site, shard, occurrence)`` — so a
 plan is deterministic by construction: no clocks, no randomness at fire
 time.  :meth:`FaultPlan.from_seed` derives a random *plan* from a seed,
 but the plan itself is then fixed.
-
-The legacy ``REPRO_SHARD_FAULT_INDEX`` environment hook is kept as a
-deprecated alias: :func:`resolve_fault_plan` reads it exactly once, in
-the coordinator, and only when no explicit plan was passed — a stray
-env var from one test can no longer bleed into a worker of the next.
 """
 
 from __future__ import annotations
@@ -52,7 +47,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence, Tuple
@@ -61,10 +55,6 @@ import numpy as np
 
 FAULT_SITES = ("worker", "attach", "session")
 FAULT_KINDS = ("crash", "error", "hang", "slow", "poison")
-
-# Deprecated alias (formerly read inside every worker by
-# solve_shard_task; now resolved once by the coordinator).
-FAULT_ENV = "REPRO_SHARD_FAULT_INDEX"
 
 # Default sleep for "hang" faults: long enough that only a supervisor
 # deadline ends it, short enough that an unsupervised run (workers<=1,
@@ -169,12 +159,8 @@ class FaultPlan:
     # -- constructors ---------------------------------------------------
     @classmethod
     def none(cls) -> "FaultPlan":
-        """An explicitly fault-free plan.
-
-        Passing this (instead of ``None``) to ``solve_sharded`` also
-        disables the deprecated env alias — the scoped way to guarantee
-        a clean run regardless of ambient state.
-        """
+        """An explicitly fault-free plan (``solve_sharded`` treats it
+        like ``None``)."""
         return cls()
 
     @classmethod
@@ -265,33 +251,6 @@ class FaultPlan:
             for k, g in enumerate(groups)
         )
         return cls(specs=specs)
-
-
-def resolve_fault_plan(
-    plan: Optional[FaultPlan], env: Optional[dict] = None
-) -> Optional[FaultPlan]:
-    """The single place the deprecated env alias is read.
-
-    An explicit ``plan`` — including :meth:`FaultPlan.none` — always
-    wins; only when the caller passed nothing is ``REPRO_SHARD_FAULT_INDEX``
-    consulted (with a :class:`DeprecationWarning`), and the result is a
-    plan object that travels with the tasks, so workers never read the
-    environment themselves.
-    """
-    if plan is not None:
-        return plan if plan else None
-    raw = (os.environ if env is None else env).get(FAULT_ENV)
-    if raw is None:
-        return None
-    warnings.warn(
-        f"{FAULT_ENV} is deprecated; pass solve_sharded(fault_plan="
-        f"FaultPlan.single('error', shard={int(raw)}, at=None)) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return FaultPlan(
-        specs=(FaultSpec(kind="error", site="worker", shard=int(raw), at=None),)
-    )
 
 
 def trigger(spec: FaultSpec, *, where: str = "") -> None:
@@ -443,7 +402,6 @@ class FaultLedger:
 
 
 __all__ = [
-    "FAULT_ENV",
     "FAULT_KINDS",
     "FAULT_SITES",
     "FaultEvent",
@@ -453,7 +411,6 @@ __all__ = [
     "FaultSpec",
     "attach_fault",
     "poison_result",
-    "resolve_fault_plan",
     "trigger",
 ]
 

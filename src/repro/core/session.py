@@ -23,13 +23,23 @@ invariants in O(|Q| + |Esub|) or honestly reports that it cannot:
   Providers above that are *lowered to exactly* ``d(q_i, p_new)``, which
   is legal while no flow-carrying edge pins τ_qi from below
   (``τ_q ≥ d + τ_p`` per matched customer).  A pinned provider means the
-  residual graph has a negative cycle through the new customer — the
-  provider is serving someone farther away than the arrival — i.e. the
-  old matching is genuinely no longer optimal at its own value; the
-  session then schedules a cold re-solve instead of silently returning a
-  stale matching.  Customer potentials are never touched, preserving
-  ``τ_p ≥ 0`` on matched customers (= feasibility of the ``(t, p)``
-  reversals) and ``τ_p = 0`` on unmatched ones.
+  residual graph has a negative cycle t → p_far → q → p_new → t through
+  the new customer — the provider serves someone farther away than the
+  arrival — so the old matching is no longer optimal at its own value.
+  When every provider of the session is full, no cycle can pass through
+  the source, and the session *repairs* the arrival in place
+  (:func:`repair_arrival`): one Dijkstra search rooted at the sink finds
+  the most negative such cycle, one unit is pushed around it (the
+  arrival becomes matched, one customer becomes unmatched), and the
+  potentials move by the search labels.  The next :meth:`assign` keeps
+  the repaired state only if it passes the solver-independent
+  certificate of :mod:`repro.core.certify` (one check covers every
+  repair since the previous assign) and otherwise re-solves cold; with
+  spare capacity somewhere, an arrival of weight > 1, or any error
+  during the repair, the session schedules a cold re-solve instead of
+  returning a stale matching.  Customer potentials that the repair does
+  not set keep ``τ_p ≥ 0`` on matched customers (= feasibility of the
+  ``(t, p)`` reversals) and ``τ_p = 0`` on unmatched ones.
 * **Customer departure** — the customer's matched units are cancelled and
   its edges dropped.  Cancelling *reopens* the residual ``(s, q)`` edge
   of each saturated provider that served the customer; that is safe only
@@ -51,25 +61,54 @@ A decrease *below* current usage would require cancelling flow along
 minimum-cost reverse paths; the session detects it and falls back to a
 cold solve on the next :meth:`assign` (correct, just not incremental).
 
-Warm re-solves run IDA with the Theorem-2 fast path disabled (its lazy
-potential offsets assume a pristine network) but with the full
-NN-incremental edge supply, PUA resumption, and IDA's real-unit
-certification — so a delta of one customer costs roughly one augmentation
-rather than γ of them.
+Cold solves use IDA's Theorem-2 fast path.  Warm re-solves run IDA
+without it (its lazy potential offsets assume a pristine network) but
+with the full NN-incremental edge supply, PUA resumption, and IDA's
+real-unit certification — so a delta of one customer costs roughly one
+augmentation rather than γ of them.  A warm assign with nothing to
+augment (``matched == γ``, e.g. after a repaired arrival in a full
+session) returns the live matching without building a solver at all.
+
+Every cold assign records why it went cold (:data:`COLD_REASONS`):
+``startup`` for a session's first solve, one hazard name per delta
+check above, and ``negative_reduced_cost`` when a warm solve's fresh
+edge supply proved the seeded state stale mid-flight.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import heapq
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.certify import certify
 from repro.core.ida import IDASolver
 from repro.core.matching import Matching, SolverStats
 from repro.core.nia import DEFAULT_ANN_GROUP_SIZE
 from repro.core.problem import CCAProblem, Customer, Provider
 from repro.flow.backend import DEFAULT_BACKEND, BackendLike, get_backend
-from repro.flow.graph import NegativeReducedCostError
+from repro.flow.graph import T_NODE, NegativeReducedCostError, _nonneg
 from repro.geometry.point import Point
 from repro.rtree.backend import IndexBackendLike, resolve_index_backend
+
+# Why an assign went cold (Matcher.last_cold_reason).
+STARTUP = "startup"
+ARRIVAL_SPARE = "arrival_spare"  # pinned arrival, the session has spare capacity
+ARRIVAL_WEIGHTED = "arrival_weighted"  # pinned arrival of weight > 1
+REPAIR_UNCERTIFIED = "repair_uncertified"  # repaired state failed certify()
+DEPARTURE_REOPEN = "departure_reopen"  # release reopens a stale source edge
+WIDEN = "widen"  # capacity raise reopens an edge with negative reduced cost
+SHRINK = "shrink"  # capacity cut below current usage
+NEGATIVE_REDUCED_COST = "negative_reduced_cost"  # warm solve found a stale edge
+COLD_REASONS = (
+    STARTUP,
+    ARRIVAL_SPARE,
+    ARRIVAL_WEIGHTED,
+    REPAIR_UNCERTIFIED,
+    DEPARTURE_REOPEN,
+    WIDEN,
+    SHRINK,
+    NEGATIVE_REDUCED_COST,
+)
 
 
 class SessionDeadError(RuntimeError):
@@ -97,11 +136,6 @@ class Matcher:
         queries dominate deltas.
     use_pua / ann_group_size:
         Passed through to the underlying IDA solver.
-    use_fast_path:
-        Whether *cold* solves may use IDA's Theorem-2 fast path.  Warm
-        re-solves never do (see module docstring).  Defaults to False so
-        cold and warm solves run the same code path, which makes their
-        Dijkstra-pop counts directly comparable.
     """
 
     def __init__(
@@ -112,21 +146,30 @@ class Matcher:
         index_backend: Optional[IndexBackendLike] = None,
         use_pua: bool = True,
         ann_group_size: int = DEFAULT_ANN_GROUP_SIZE,
-        use_fast_path: bool = False,
     ):
         self.problem = problem
         self.backend = get_backend(backend)
         self.index_backend = resolve_index_backend(problem, index_backend)
         self.use_pua = use_pua
         self.ann_group_size = ann_group_size
-        self.use_fast_path = use_fast_path
         # Built once; mutated by deltas.
         self.tree = problem.rtree(index_backend=self.index_backend.name)
         self.net = None  # session-owned residual network (after 1st solve)
         self._needs_cold = True
+        self._cold_reason = STARTUP
         self.assign_count = 0
         self.last_stats: Optional[SolverStats] = None
         self.last_was_warm = False
+        # Cold assigns record why (one of COLD_REASONS); None when warm.
+        self.last_cold_reason: Optional[str] = None
+        # Pinned arrivals repaired in place and kept, over the session's
+        # lifetime, and why the latest rejected repair failed.
+        self.arrival_repairs = 0
+        self.last_repair_failure: Optional[str] = None
+        # Repair searches since the last assign: certified by it, and
+        # charged to its stats.
+        self._repair_runs = 0
+        self._repair_pops = 0
         self._last_matching: Optional[Matching] = None
         self._dead = False
         self.death_reason = ""
@@ -158,6 +201,7 @@ class Matcher:
         session = cls(problem, backend=backend, **kwargs)
         session.net = net
         session._needs_cold = False
+        session._cold_reason = None
         return session
 
     # ------------------------------------------------------------------
@@ -169,8 +213,16 @@ class Matcher:
             raise SessionDeadError(self.death_reason or "session marked dead")
         warm = self.net is not None and not self._needs_cold
         self.last_was_warm = warm
+        reason = None if warm else self._cold_reason
         try:
-            matching, solver = self._run_solver(warm)
+            if warm and self.net.matched == self.net.gamma:
+                # Nothing to augment: the deltas since the last assign
+                # kept the flow maximal (and any repairs among them are
+                # certified below), so the live matching is the answer;
+                # no solver, no index start-up.
+                matching, stats = self._current_matching()
+            else:
+                matching, stats = self._run_solver(warm)
         except NegativeReducedCostError:
             if not warm:
                 raise
@@ -183,7 +235,8 @@ class Matcher:
             # deltas use: discard the (now partially mutated) network and
             # re-solve from scratch.
             self.last_was_warm = False
-            matching, solver = self._run_solver(False)
+            reason = NEGATIVE_REDUCED_COST
+            matching, stats = self._run_solver(False)
         except Exception as exc:
             # Anything else mid-solve may have left the residual network
             # half-mutated: the state is no longer certifiable.  Mark the
@@ -191,21 +244,33 @@ class Matcher:
             # of trusting a poisoned warm state on the next call.
             self.mark_dead(f"{type(exc).__name__}: {exc}")
             raise
-        self.net = solver.net
+        if self.last_was_warm and self._repair_runs:
+            # Arrival repairs are kept only if the state they led to
+            # certifies; one check per assign covers all of them.
+            failure = self._certify()
+            if failure is None:
+                self.arrival_repairs += self._repair_runs
+            else:
+                self.last_repair_failure = failure
+                self.last_was_warm = False
+                reason = REPAIR_UNCERTIFIED
+                matching, stats = self._run_solver(False)
+        stats.dijkstra_runs += self._repair_runs
+        stats.dijkstra_pops += self._repair_pops
+        self._repair_runs = self._repair_pops = 0
         self._needs_cold = False
+        self._cold_reason = None
+        self.last_cold_reason = reason
         self.assign_count += 1
-        self.last_stats = solver.stats
+        self.last_stats = stats
         self._last_matching = matching
         return matching
 
-    def _run_solver(self, warm: bool):
+    def _run_solver(self, warm: bool) -> Tuple[Matching, SolverStats]:
         solver = IDASolver(
             self.problem,
             use_pua=self.use_pua,
             ann_group_size=self.ann_group_size,
-            # Warm re-solves never fast-path: the lazy potential offsets
-            # assume a pristine network (see module docstring).
-            use_fast_path=False if warm else self.use_fast_path,
             # The session's R-tree and buffer stay warm across calls; a
             # measured cold start is a benchmarking concept, not a
             # service one.
@@ -214,7 +279,20 @@ class Matcher:
             net=self.net if warm else None,
             index_backend=self.index_backend,
         )
-        return solver.solve(), solver
+        matching = solver.solve()
+        self.net = solver.net
+        return matching, solver.stats
+
+    def _certify(self) -> Optional[str]:
+        net = self.net
+        q_tau, p_tau = net.tau_lists()
+        return certify(self.problem, net.matching_flows(), q_tau, p_tau, net.tau_s)
+
+    def _current_matching(self) -> Tuple[Matching, SolverStats]:
+        stats = SolverStats(method=IDASolver.method, gamma=self.net.gamma)
+        stats.esub_edges = self.net.edge_count
+        stats.extra["warm_start"] = True
+        return Matching(self.net.matching_pairs(), stats=stats), stats
 
     @property
     def matching(self) -> Optional[Matching]:
@@ -254,6 +332,13 @@ class Matcher:
     # ------------------------------------------------------------------
     # deltas
     # ------------------------------------------------------------------
+    def _go_cold(self, reason: str) -> None:
+        """Schedule a cold re-solve for the next assign (first reason
+        since the last assign wins)."""
+        if not self._needs_cold:
+            self._needs_cold = True
+            self._cold_reason = reason
+
     def add_customer(self, xy: Sequence[float], weight: int = 1) -> int:
         """A customer arrives; returns its id (valid after next assign)."""
         if weight < 0:
@@ -272,10 +357,31 @@ class Matcher:
             # so the Point-object loop was pure overhead.
             distances = self.problem.provider_points().dists_to(point.coords)
             if self.net.admit_customer(int(weight), distances) is None:
-                # The arrival invalidates the current matching (see
-                # module docstring); re-solve from scratch next time.
-                self._needs_cold = True
+                # A pinned provider: the arrival breaks the matching's
+                # optimality (see module docstring).
+                self._admit_pinned(int(weight), distances)
         return j
+
+    def _admit_pinned(self, weight: int, distances) -> None:
+        """Repair a pinned arrival in place (certified at the next
+        assign), or schedule a cold re-solve."""
+        net = self.net
+        if net.spare_capacity() > 0:
+            self._go_cold(ARRIVAL_SPARE)
+            return
+        if weight != 1:
+            self._go_cold(ARRIVAL_WEIGHTED)
+            return
+        try:
+            j = net.add_customer_node(weight)
+            self._repair_pops += repair_arrival(net, j, distances)
+            self._repair_runs += 1
+        # repro-lint: disable=RPR008 -- certify-or-fall-back seam: any
+        # error leaves the network half-repaired, and the cold re-solve
+        # scheduled below discards it; the error is kept for inspection
+        except Exception as exc:
+            self.last_repair_failure = f"{type(exc).__name__}: {exc}"
+            self._go_cold(REPAIR_UNCERTIFIED)
 
     def remove_customer(self, customer_id: int) -> None:
         """A customer leaves; its matched units (if any) are released."""
@@ -293,7 +399,7 @@ class Matcher:
                 # Releasing the flow would reopen a stale-potential source
                 # edge (negative reduced cost): the remaining matching
                 # could be suboptimal, so re-solve from scratch.
-                self._needs_cold = True
+                self._go_cold(DEPARTURE_REOPEN)
 
     def set_provider_capacity(self, provider_id: int, capacity: int) -> None:
         """Change a provider's capacity.
@@ -308,15 +414,14 @@ class Matcher:
         self.problem.providers[provider_id] = Provider(old.point, int(capacity))
         if self.net is None or self._needs_cold:
             return
-        if capacity >= int(
-            self.net.q_used[provider_id]
-        ) and self.net.can_widen_provider_warm(provider_id, int(capacity)):
+        if capacity < int(self.net.q_used[provider_id]):
+            self._go_cold(SHRINK)
+        elif self.net.can_widen_provider_warm(provider_id, int(capacity)):
             self.net.set_provider_capacity(provider_id, int(capacity))
         else:
-            # Below current usage, or the widening would reopen residual
-            # edges with negative reduced cost (stale potentials):
-            # re-solve from scratch.
-            self._needs_cold = True
+            # The widening would reopen residual edges with negative
+            # reduced cost (stale potentials): re-solve from scratch.
+            self._go_cold(WIDEN)
 
     # ------------------------------------------------------------------
     def current_pairs(self) -> List[Tuple[int, int, float]]:
@@ -333,3 +438,106 @@ class Matcher:
             f"|P|={len(self.problem.customers)}, {state}, "
             f"assigns={self.assign_count})"
         )
+
+
+def repair_arrival(net, j: int, distances: Sequence[float]) -> int:
+    """Cancel the most negative residual cycle through a new customer.
+
+    ``j`` is a unit-weight customer node just added to ``net`` with τ = 0
+    and no edges; ``distances[i]`` is its distance to provider ``i``.
+    Every provider must be full, so no residual cycle passes through the
+    source and the flow stays maximal.  One Dijkstra search rooted at the
+    sink runs over the reduced costs of the residual network — t → each
+    matched customer, customer → provider reversals of flow-carrying
+    edges, open provider → customer edges — until every provider with
+    capacity is settled; the arrival's edge from each provider, whose
+    reduced cost may be negative, closes a cycle t → … → q → p_j → t.  If
+    the cheapest cycle is negative, one unit is pushed around it: the
+    arrival's edge enters Esub with flow and the cycle's first customer
+    becomes unmatched.  Only providers enter the heap: a matched
+    customer's out-edges are its reversals, so its label is relayed to
+    its providers the moment it improves (as the flow kernels do), and
+    unmatched customers are skipped, since they lead only back to t.
+
+    Potentials then move by the search labels δ, capped at δ_max, the
+    label of the last provider settled: ``τ := τ − min(δ, δ_max)`` on
+    providers and matched customers, ``τ_pj := −δ(p_j)`` on the arrival.
+    Every residual edge the search relaxed keeps a non-negative reduced
+    cost, the cycle's edges become tight, and unmatched customers keep
+    τ = 0.  Pairs outside Esub are not searched, so the caller certifies
+    the result (:func:`repro.core.certify.certify`) before keeping it.
+
+    An equal label keeps the smaller predecessor id and heap entries
+    order by (label, node), so both flow kernels — whose adjacency orders
+    differ — pick the same cycle bit for bit.  Returns the number of
+    providers settled (heap pops).
+    """
+    nq = net.nq
+    q_tau, p_tau = net.tau_lists()
+    p_used = net.p_used
+    label: Dict[int, float] = {}
+    pred: Dict[int, int] = {}
+    settled = set()
+    heap: List[Tuple[float, int]] = []
+
+    def relay(c: int, alpha: float) -> None:
+        for q, w in net.out_edges(c):
+            if q in settled:
+                continue
+            offer = alpha + w
+            old = label.get(q)
+            if old is None or offer < old:
+                label[q] = offer
+                pred[q] = c
+                heapq.heappush(heap, (offer, q))
+            elif offer == old and c < pred[q]:
+                pred[q] = c
+
+    for c in range(net.np):
+        if p_used[c] > 0:
+            label[nq + c] = alpha = _nonneg(p_tau[c])
+            pred[nq + c] = T_NODE
+            relay(nq + c, alpha)
+    left = sum(1 for k in net.q_cap if k > 0)
+    top = 0.0
+    best, best_q = float("inf"), -1
+    while heap and left:
+        alpha, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        if net.q_cap[u] > 0:
+            left -= 1
+            top = alpha
+            close = alpha + (float(distances[u]) - q_tau[u])
+            if close < best:
+                best, best_q = close, u
+        for v, w in net.out_edges(u):
+            if p_used[v - nq] == 0:
+                continue
+            offer = alpha + w
+            old = label[v]
+            if offer < old:
+                label[v] = offer
+                pred[v] = u
+                relay(v, offer)
+            elif offer == old and u < pred[v]:
+                pred[v] = u
+    if left:
+        raise RuntimeError("a provider with capacity is unreachable from t")
+    # Potentials from the pre-push matched set; the cycle's first
+    # customer ends at τ = τ − δ = 0, as an unmatched customer must.
+    providers = {i: q_tau[i] - label[i] for i in range(nq) if net.q_cap[i] > 0}
+    customers = {
+        c: p_tau[c] - min(label[nq + c], top) for c in range(net.np) if p_used[c] > 0
+    }
+    if best < 0.0:
+        cycle = [best_q]
+        while cycle[-1] != T_NODE:
+            cycle.append(pred[cycle[-1]])
+        cycle.reverse()
+        net.add_edge(best_q, j, float(distances[best_q]))
+        net.push_sink_cycle(cycle + [nq + j, T_NODE])
+        customers[j] = -best
+    net.set_potentials(providers, customers)
+    return len(settled)

@@ -63,12 +63,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.faults import (
-    FAULT_ENV,
     FaultLedger,
     FaultPlan,
     attach_fault,
     poison_result,
-    resolve_fault_plan,
     trigger,
 )
 from repro.core.ida import IDASolver
@@ -286,12 +284,6 @@ def route_concise(
 # ----------------------------------------------------------------------
 # per-shard tasks (picklable; solved in worker processes)
 # ----------------------------------------------------------------------
-# FAULT_ENV (re-exported above) is the deprecated env hook; faults now
-# travel as a FaultPlan ON the task, resolved once by the coordinator —
-# workers never read the environment (see repro.core.faults).
-_ = FAULT_ENV
-
-
 @dataclass(frozen=True)
 class ShardTask:
     """Everything a worker needs to solve one shard.
@@ -551,13 +543,18 @@ def _verify_shard_result(task: ShardTask, result: ShardResult) -> Optional[str]:
     Returns an error string, or None when the result certifies: pair ids
     inside the shard's provider/routed-customer sets, stored distances
     matching the shared coordinate columns, per-provider/per-customer
-    feasibility, and the claimed γ equal to the pair count.
+    feasibility, and both the claimed γ and the pair count equal to the
+    shard's true γ = min(Σ capacities, Σ routed weights) — so a worker
+    that drops a pair cannot hide it by lowering its claim.
     """
     if result.index != task.index:
         return f"result for shard {result.index} answers task {task.index}"
     cols = _task_columns(task)
-    if len(result.pairs) != result.gamma:
-        return (f"claimed gamma {result.gamma} != {len(result.pairs)} pairs")
+    gamma = min(int(cols.capacities.sum()), int(cols.customer_weights.sum()))
+    if result.gamma != gamma:
+        return f"claimed gamma {result.gamma} != shard gamma {gamma}"
+    if len(result.pairs) != gamma:
+        return f"{len(result.pairs)} pairs != shard gamma {gamma}"
     providers = {int(i) for i in cols.provider_ids}
     capacity = {
         int(i): int(c) for i, c in zip(cols.provider_ids, cols.capacities, strict=False)
@@ -1055,11 +1052,10 @@ def solve_sharded(
         default because reconciliation spans solver boundaries).
     fault_plan:
         A :class:`~repro.core.faults.FaultPlan` to inject at the worker
-        and shm-attach seams (chaos testing).  ``None`` falls back to the
-        deprecated ``REPRO_SHARD_FAULT_INDEX`` env alias, resolved once
-        here in the coordinator; pass :meth:`FaultPlan.none` to disable
-        even that.  The supervisor guarantees the returned matching is
-        bit-identical to the fault-free run regardless.  Not consulted by
+        and shm-attach seams (chaos testing); ``None`` and
+        :meth:`FaultPlan.none` run fault-free.  The supervisor guarantees
+        the returned matching is bit-identical to the fault-free run
+        regardless.  Not consulted by
         the ``shards=1`` serial fall-through, which never leaves this
         process.
     retry_policy:
@@ -1079,9 +1075,9 @@ def solve_sharded(
         )
     if ann_group_size is None:
         ann_group_size = PAPER_DEFAULTS["ann_group_size"]
-    # The ONE place fault schedules are resolved (explicit plan beats the
-    # deprecated env alias) — workers only see what rides on their task.
-    fault_plan = resolve_fault_plan(fault_plan)
+    # Workers only see the schedule that rides on their task; an empty
+    # plan (FaultPlan.none()) means fault-free, like None.
+    fault_plan = fault_plan or None
     index_backend_name = resolve_index_backend(problem, index_backend).name
     started = time.perf_counter()
     if shards == 1 and plan is None:

@@ -530,6 +530,19 @@ class ArrayFlowNetwork(CCAFlowNetwork):
                 self.tau_s = min(self.tau_s, float(self.q_tau.min()))
         return self.add_customer_node(weight)
 
+    def set_potentials(self, providers, customers) -> None:
+        q_py = self._q_tau_py
+        p_py = self._p_tau_py
+        for i, tau in providers.items():
+            q_py[i] = tau
+        for j, tau in customers.items():
+            p_py[j] = tau
+        if providers:
+            self.q_tau[list(providers)] = list(providers.values())
+        if customers:
+            self.p_tau[list(customers)] = list(customers.values())
+        self._tau_max = max(q_py) if self.nq else 0.0
+
     def add_customer_node(self, weight: int) -> int:
         if weight < 0:
             raise ValueError("customer weight must be non-negative")

@@ -429,6 +429,45 @@ class CCAFlowNetwork:
                 self.tau_s = min(self.tau_s, min(self.q_tau))
         return self.add_customer_node(weight)
 
+    def push_sink_cycle(self, cycle_nodes: Sequence[int]) -> None:
+        """Push one unit around a residual cycle through the sink.
+
+        ``cycle_nodes`` runs ``T_NODE, customer, provider, ..., customer,
+        T_NODE``: the first customer gives up a unit of its sink flow, the
+        last one gains it, and the bipartite edges in between alternate
+        (provider, customer) pushes and (customer, provider) cancels.
+        Provider usage and the matched count do not change.  Potentials
+        are the caller's job (see :meth:`set_potentials`).
+        """
+        if cycle_nodes[0] != T_NODE or cycle_nodes[-1] != T_NODE:
+            raise ValueError("sink cycle must start and end at t")
+        for u, v in zip(cycle_nodes, cycle_nodes[1:], strict=False):
+            if u == T_NODE:
+                j = self.customer_index(v)
+                if self.p_used[j] <= 0:
+                    raise RuntimeError(f"customer {j} has no sink flow to cancel")
+                self.p_used[j] -= 1
+            elif v == T_NODE:
+                j = self.customer_index(u)
+                if self.p_used[j] >= self.p_cap[j]:
+                    raise RuntimeError(f"customer {j} over capacity")
+                self.p_used[j] += 1
+            elif self.is_provider(u):
+                self._push_unit(u, self.customer_index(v))
+            else:
+                self._pull_unit(v, self.customer_index(u))
+
+    def set_potentials(
+        self, providers: Dict[int, float], customers: Dict[int, float]
+    ) -> None:
+        """Overwrite selected potentials (``{id: τ}`` per side) and
+        refresh the cached ``τmax``."""
+        for i, tau in providers.items():
+            self.q_tau[i] = tau
+        for j, tau in customers.items():
+            self.p_tau[j] = tau
+        self._tau_max = max(self.q_tau) if self.nq else 0.0
+
     def add_customer_node(self, weight: int) -> int:
         """Append a customer node with τ = 0 and no edges; returns its id.
 

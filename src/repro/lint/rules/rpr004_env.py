@@ -1,10 +1,8 @@
-"""RPR004: no ambient ``os.environ`` reads outside the config seam.
+"""RPR004: no ambient ``os.environ`` reads.
 
 Configuration must arrive through explicit parameters so a solve is a
-pure function of its arguments.  The single sanctioned exception is
-``core/faults.py``'s ``resolve_fault_plan`` — the documented seam where
-the deprecated chaos-injection env alias is read and immediately turned
-into an explicit ``FaultPlan`` value.
+pure function of its arguments.  Fault schedules, the last configuration
+that once had an env alias, travel as explicit ``FaultPlan`` values.
 """
 
 from __future__ import annotations
@@ -16,23 +14,17 @@ from repro.lint.context import ModuleContext
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.rules.base import Rule, register
 
-_ALLOWLIST = (("core", "faults.py"),)
-
 
 @register
 class EnvRule(Rule):
     id = "RPR004"
-    title = "no os.environ outside the config seam"
+    title = "no os.environ reads"
     rationale = (
         "env reads make a solve depend on ambient process state that "
         "no caller passed and no test pins; route configuration "
-        "through explicit parameters (core/faults.py is the one "
-        "documented exception)."
+        "through explicit parameters."
     )
     node_types = (ast.Attribute, ast.Name, ast.Call)
-
-    def applies(self, ctx: ModuleContext) -> bool:
-        return ctx.domain not in _ALLOWLIST
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> Iterator[Diagnostic]:
         if isinstance(node, ast.Call):
@@ -40,8 +32,8 @@ class EnvRule(Rule):
                 yield self.diag(
                     ctx,
                     node,
-                    "os.getenv() outside the config seam; thread the value "
-                    "through an explicit parameter",
+                    "os.getenv(); thread the value through an explicit "
+                    "parameter",
                 )
             return
         if ctx.resolve(node) != "os.environ":
@@ -53,7 +45,6 @@ class EnvRule(Rule):
         yield self.diag(
             ctx,
             node,
-            "os.environ access outside the config seam "
-            "(core/faults.resolve_fault_plan); thread configuration "
-            "through explicit parameters",
+            "os.environ access; thread configuration through explicit "
+            "parameters",
         )

@@ -34,19 +34,29 @@ with spare capacity, keeping the live matching valid and near-optimal.
 
 Fallback accounting
 -------------------
-A warm re-solve can degrade to cold two ways, and the service certifies
-(counts and exposes) both:
+A pinned arrival (a new customer closer to a full provider than that
+provider's farthest matched customer) breaks the matching's optimality.
+When the shard has no spare capacity the session repairs it in place
+with one certified search (:func:`~repro.core.session.repair_arrival`),
+counted as ``arrival_repairs``; the next assign of that shard is then
+warm and usually has nothing to augment.  Otherwise a warm re-solve
+degrades to cold two ways, and the service certifies (counts and
+exposes) both:
 
-* **hazard colds** — a delta's feasibility check proved the residual
-  state unusable *before* the solve (capacity cut below usage, unsafe
-  departure/widening, pinned-potential arrival);
+* **hazard colds** — a delta proved the residual state unusable: a
+  pinned arrival while the shard has spare capacity (or of weight > 1),
+  an unsafe departure or widening, a capacity cut below usage (all
+  detected before the solve), or repairs whose state failed its
+  certificate at the assign;
 * **repair fallbacks** — the warm solve itself surfaced a negative
   reduced cost mid-flight
   (:class:`~repro.flow.graph.NegativeReducedCostError`) and the session
   restarted cold.
 
-``stats.warm_assigns / stats.assigns`` is therefore an honest warm-hit
-rate, not a best case.
+``stats.cold_reasons`` breaks both down by the session's reason
+(:data:`~repro.core.session.COLD_REASONS`), and
+``stats.warm_assigns / stats.assigns`` is an honest warm-hit rate, not a
+best case.
 """
 
 from __future__ import annotations
@@ -60,7 +70,7 @@ import numpy as np
 from repro.core.faults import FaultPlan
 from repro.core.matching import Matching
 from repro.core.problem import CCAProblem, Customer, Provider
-from repro.core.session import Matcher
+from repro.core.session import NEGATIVE_REDUCED_COST, Matcher
 from repro.core.shard import (
     SessionMover,
     ShardPlan,
@@ -119,6 +129,9 @@ class ServeStats:
     cold_assigns: int = 0
     hazard_colds: int = 0
     repair_fallbacks: int = 0
+    arrival_repairs: int = 0
+    # Cold assigns by Matcher.last_cold_reason (hazards and fallbacks).
+    cold_reasons: Dict[str, int] = field(default_factory=dict)
     reconcile_passes: int = 0
     reconcile_moves: int = 0
     reconcile_rebalanced: int = 0
@@ -167,6 +180,8 @@ class ServeStats:
             "cold_assigns": self.cold_assigns,
             "hazard_colds": self.hazard_colds,
             "repair_fallbacks": self.repair_fallbacks,
+            "arrival_repairs": self.arrival_repairs,
+            "cold_reasons": dict(sorted(self.cold_reasons.items())),
             "warm_rate": (self.warm_assigns / self.assigns if self.assigns else 0.0),
             "reconcile_passes": self.reconcile_passes,
             "reconcile_moves": self.reconcile_moves,
@@ -518,7 +533,7 @@ class OnlineAssignmentService:
         if session.is_dead:
             self._quarantine(index, session.death_reason)
             return
-        eligible = session.is_warm
+        repairs = session.arrival_repairs
         try:
             session.assign()
         # repro-lint: disable=RPR008 -- deliberate quarantine seam: the
@@ -534,16 +549,19 @@ class OnlineAssignmentService:
             self._quarantine(index, session.death_reason)
             return
         self.stats.assigns += 1
-        if not eligible:
-            self.stats.hazard_colds += 1
+        self.stats.arrival_repairs += session.arrival_repairs - repairs
         if session.last_was_warm:
             self.stats.warm_assigns += 1
+            return
+        self.stats.cold_assigns += 1
+        reason = session.last_cold_reason
+        self.stats.cold_reasons[reason] = self.stats.cold_reasons.get(reason, 0) + 1
+        if reason == NEGATIVE_REDUCED_COST:
+            # The warm solve itself hit a NegativeReducedCostError and
+            # the session certified a restart-from-scratch.
+            self.stats.repair_fallbacks += 1
         else:
-            self.stats.cold_assigns += 1
-            if eligible:
-                # The warm solve itself hit a NegativeReducedCostError and
-                # the session certified a restart-from-scratch.
-                self.stats.repair_fallbacks += 1
+            self.stats.hazard_colds += 1
 
     def _quarantine(self, index: int, reason: str) -> None:
         """Rebuild one shard's session cold from the live global state.
@@ -761,8 +779,8 @@ class OnlineAssignmentService:
         """Cold-solve the final problem state and compare bit-for-bit.
 
         The cold reference runs the same solver configuration a session's
-        own cold fallback uses (IDA, fast path off), on the same flow and
-        index backends.  ``identical`` requires the exact same sorted
+        own cold fallback uses (the default IDA ``solve``), on the same
+        flow and index backends.  ``identical`` requires the exact same sorted
         (provider, customer, distance) triples — float equality included.
         With ``shards > 1`` boundary pinning makes strict identity
         unattainable in general; the report still carries both costs so
@@ -773,7 +791,6 @@ class OnlineAssignmentService:
             "ida",
             use_pua=self.use_pua,
             ann_group_size=self.ann_group_size,
-            use_fast_path=False,
             backend=self.backend,
             index_backend=self.index_backend.name,
         )

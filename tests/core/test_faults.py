@@ -5,14 +5,12 @@ import pickle
 import pytest
 
 from repro.core.faults import (
-    FAULT_ENV,
     FaultInjected,
     FaultLedger,
     FaultPlan,
     FaultSpec,
     attach_fault,
     poison_result,
-    resolve_fault_plan,
     trigger,
 )
 
@@ -90,29 +88,6 @@ class TestFaultPlan:
         assert plan.match("session", 1, 5) is not None
         assert plan.match("session", 0, 5) is None
         assert plan.match("worker", 0, 2) is None
-
-
-class TestResolver:
-    def test_explicit_plan_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV, "0")
-        plan = FaultPlan.single("poison", shard=1)
-        assert resolve_fault_plan(plan) is plan
-
-    def test_none_plan_disables_env(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV, "0")
-        assert resolve_fault_plan(FaultPlan.none()) is None
-
-    def test_env_alias_deprecated(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV, "2")
-        with pytest.warns(DeprecationWarning, match=FAULT_ENV):
-            plan = resolve_fault_plan(None)
-        assert plan.match("worker", 2, 0).kind == "error"
-        assert plan.match("worker", 2, 5) is not None  # every attempt
-        assert plan.match("worker", 1, 0) is None
-
-    def test_no_env_no_plan(self, monkeypatch):
-        monkeypatch.delenv(FAULT_ENV, raising=False)
-        assert resolve_fault_plan(None) is None
 
 
 class TestTrigger:

@@ -32,10 +32,14 @@ def fresh_problem(qxy, caps, pxy):
 
 
 def cold_reference(qxy, caps, pxy, backend="dict"):
-    """Cost and pop count of a brand-new session on the instance."""
-    matcher = Matcher(fresh_problem(qxy, caps, pxy), backend=backend)
-    matching = matcher.assign()
-    return matching.cost, matcher.last_stats.dijkstra_pops
+    """Cost and pop count of a cold IDA solve of the instance.
+
+    The pop baseline runs without the Theorem-2 fast path, the code path
+    warm re-solves take, so warm and cold pop counts are comparable."""
+    matching = solve(
+        fresh_problem(qxy, caps, pxy), "ida", use_fast_path=False, backend=backend
+    )
+    return matching.cost, matching.stats.dijkstra_pops
 
 
 class TestColdAssign:
@@ -80,21 +84,50 @@ class TestCustomerArrival:
         assert warm_pops > 0  # γ grew: the arrival had to be matched
         assert warm_pops < cold_pops  # strictly fewer — the warm-start win
 
-    def test_conflicting_arrival_falls_back_to_cold_and_stays_exact(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_conflicting_arrival_is_repaired_warm_and_stays_exact(self, backend):
         """An arrival closer than a provider's matched customers makes the
-        old matching suboptimal; the session must detect it (negative
-        cycle through the new node) and re-solve from scratch."""
+        old matching suboptimal (negative cycle through the new node).
+        Every provider is full, so the session repairs it in place with
+        one certified search, and the next assign is warm and exact."""
         rng = np.random.default_rng(5)
         qxy = rng.random((4, 2)) * 100
         pxy = rng.random((40, 2)) * 100
         caps = [3, 3, 3, 3]
-        matcher = Matcher(CCAProblem.from_arrays(qxy, caps, pxy))
+        matcher = Matcher(CCAProblem.from_arrays(qxy, caps, pxy), backend=backend)
         matcher.assign()
         arrival = (qxy[0][0] + 1.0, qxy[0][1] + 1.0)  # on top of provider 0
-        matcher.add_customer(arrival)
+        j = matcher.add_customer(arrival)
+        assert matcher.is_warm
+        res = matcher.assign()
+        assert matcher.last_was_warm
+        assert matcher.last_cold_reason is None
+        assert matcher.arrival_repairs == 1
+        assert matcher.last_stats.dijkstra_runs == 1  # the repair search
+        assert res.assignment_of(j) == 0
+        cold = solve(
+            CCAProblem.from_arrays(qxy, caps, np.vstack([pxy, [arrival]])),
+            "ida",
+            backend=backend,
+        )
+        assert sorted(res.pairs) == sorted(cold.pairs)
+        assert res.cost == pytest.approx(cold.cost, abs=1e-9)
+
+    def test_conflicting_arrival_falls_back_to_cold_and_stays_exact(self):
+        """A pinned arrival while some provider has spare capacity: a
+        residual cycle may pass through the source, which the repair
+        search does not cover, so the session re-solves from scratch."""
+        qxy = np.array([[0.0, 0.0], [10.0, 0.0]])
+        pxy = np.array([[0.0, 3.0]])  # served by provider 0, which is full
+        matcher = Matcher(fresh_problem(qxy, [1, 5], pxy))
+        matcher.assign()
+        matcher.add_customer((0.0, 1.0))  # closer to provider 0 than p0
+        assert not matcher.is_warm
         res = matcher.assign()
         assert not matcher.last_was_warm  # honesty: fell back cold
-        cold_cost, _ = cold_reference(qxy, caps, np.vstack([pxy, [arrival]]))
+        assert matcher.last_cold_reason == "arrival_spare"
+        assert matcher.arrival_repairs == 0
+        cold_cost, _ = cold_reference(qxy, [1, 5], np.vstack([pxy, [(0.0, 1.0)]]))
         assert res.cost == pytest.approx(cold_cost, abs=1e-9)
 
     def test_arrival_when_capacity_bound_keeps_matching_optimal(self):

@@ -186,3 +186,32 @@ class TestReconciliation:
             fresh_problem(seed=7), 3, backend="array", reconcile=False
         )
         assert with_rec.cost <= without.cost + 1e-9
+
+
+class TestShardResultVerification:
+    def test_result_missing_a_pair_fails_verification(self):
+        """A worker that drops a pair and lowers its claimed gamma to
+        match must not pass: the claim is checked against the shard's
+        own min(sum of capacities, sum of routed weights)."""
+        import dataclasses
+
+        from repro.core.shard import _make_tasks, _verify_shard_result, solve_shard_task
+
+        problem = fresh_problem()
+        plan = plan_shards(problem, 2)
+        routed = route_nearest(problem, plan)
+        backends = ["dict"] * plan.num_shards
+        args = ("pointer", True, 8, True, None, False)
+        tasks, store = _make_tasks(problem, plan, routed, "ida", backends, *args)
+        try:
+            task = tasks[0]
+            result = solve_shard_task(task)
+            assert result.pairs
+            assert _verify_shard_result(task, result) is None
+            short = dataclasses.replace(
+                result, pairs=result.pairs[1:], gamma=result.gamma - 1
+            )
+            failure = _verify_shard_result(task, short)
+            assert failure is not None and "gamma" in failure
+        finally:
+            store.close_and_unlink()

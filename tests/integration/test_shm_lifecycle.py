@@ -10,13 +10,12 @@ solve — whether it finished or a worker died mid-flight.
 import gc
 import glob
 import pickle
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.faults import FaultPlan
-from repro.core.shard import FAULT_ENV, ShardTask, solve_sharded
+from repro.core.shard import ShardTask, solve_sharded
 from repro.core.shm import SEGMENT_PREFIX, SharedColumnStore, attach, close_and_unlink
 from repro.core.supervisor import RetryPolicy
 from tests.conftest import random_problem
@@ -140,41 +139,6 @@ class TestSolveShardedLifecycle:
         )
         assert faulted.pairs == clean.pairs
         assert _segments() == before
-
-
-@needs_dev_shm
-class TestEnvAlias:
-    """REPRO_SHARD_FAULT_INDEX survives as a deprecated, coordinator-
-    scoped alias: read once by resolve_fault_plan, never by workers."""
-
-    def test_env_alias_warns_and_recovers(self, monkeypatch):
-        before = _segments()
-        monkeypatch.setenv(FAULT_ENV, "1")
-        rng = np.random.default_rng(25)
-        problem = random_problem(rng, nq=8, np_=160, cap_hi=30)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            clean = solve_sharded(problem, 3, workers=2, fault_plan=FaultPlan.none())
-        with pytest.warns(DeprecationWarning, match=FAULT_ENV):
-            faulted = solve_sharded(problem, 3, workers=2)
-        # The env spec faults EVERY attempt on shard 1, so recovery goes
-        # through the cold requeue — and is still bit-identical.
-        assert faulted.pairs == clean.pairs
-        assert faulted.stats.faults is not None
-        assert faulted.stats.faults.requeues >= 1
-        assert _segments() == before
-
-    def test_explicit_none_plan_shields_from_env(self, monkeypatch):
-        """A stray env var can no longer bleed into a run that opted out."""
-        monkeypatch.setenv(FAULT_ENV, "0")
-        rng = np.random.default_rng(26)
-        problem = random_problem(rng, nq=6, np_=120, cap_hi=30)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            matching = solve_sharded(problem, 3, fault_plan=FaultPlan.none())
-        matching.validate(problem)
-        ledger = matching.stats.faults
-        assert ledger is None or len(ledger) == 0
 
 
 @needs_dev_shm

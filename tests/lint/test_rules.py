@@ -145,9 +145,8 @@ class TestRPR004Env:
         assert codes(diags) == ["RPR004", "RPR004", "RPR004"]
         assert [d.line for d in diags] == [4, 5, 6]
         assert codes(run(self.BUG, "tests/core/test_x.py")) == ["RPR004"] * 3
-
-    def test_config_seam_is_allowlisted(self):
-        assert run(self.BUG, "src/repro/core/faults.py") == []
+        # No module is exempt, core/faults.py included.
+        assert codes(run(self.BUG, "src/repro/core/faults.py")) == ["RPR004"] * 3
 
     def test_quiet_without_environ(self):
         ok = """\
