@@ -145,7 +145,10 @@ class TestRPR004Env:
         assert codes(diags) == ["RPR004", "RPR004", "RPR004"]
         assert [d.line for d in diags] == [4, 5, 6]
         assert codes(run(self.BUG, "tests/core/test_x.py")) == ["RPR004"] * 3
-        # No module is exempt, core/faults.py included.
+
+    def test_former_config_seam_is_not_exempt(self):
+        # core/faults.py used to be allowlisted for its fault-plan env hook;
+        # the hook is gone, so no module is exempt any more.
         assert codes(run(self.BUG, "src/repro/core/faults.py")) == ["RPR004"] * 3
 
     def test_quiet_without_environ(self):
